@@ -12,6 +12,10 @@
 //! * `workload/serial_core/...` / `workload/parallel/...` — the
 //!   pooled Pareto sweep JobSpec at 1 worker vs all cores (tracked in
 //!   `BENCH_sweep.json` like every serial/parallel pair);
+//! * `workload/.../lint_all_widths` — the CI lint gate shape (every
+//!   architecture at every width it supports, 321 netlists generated
+//!   and linted) at 1 worker vs all cores, gated at
+//!   `speedup_min >= 1.3` in `parse_bench.py`;
 //! * `workload/.../dist_overhead_wallace16` — the same single-shard
 //!   Wallace16 characterization run locally vs through a loopback
 //!   coordinator/worker cluster, gating the wire protocol's overhead
@@ -21,7 +25,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use optpower_dist::{spawn, Cluster};
 use optpower_explore::Workers;
 use optpower_report::table1_parallel;
-use optpower_workload::{AbInitioSpec, JobSpec, Runtime};
+use optpower_workload::{AbInitioSpec, JobSpec, LintSpec, Runtime};
 
 fn bench_envelope_overhead(c: &mut Criterion) {
     c.bench_function("workload/direct/table1", |b| {
@@ -58,6 +62,22 @@ fn bench_pooled_jobspec(c: &mut Criterion) {
     });
     c.bench_function("workload/parallel/pareto_12pts", |b| {
         b.iter(|| black_box(Runtime::default().run(&spec).expect("pareto runs")))
+    });
+    let lint = JobSpec::Lint(LintSpec {
+        archs: None,
+        widths: None,
+    });
+    c.bench_function("workload/serial_core/lint_all_widths", |b| {
+        b.iter(|| {
+            black_box(
+                Runtime::new(Workers::Fixed(1))
+                    .run(&lint)
+                    .expect("lint runs"),
+            )
+        })
+    });
+    c.bench_function("workload/parallel/lint_all_widths", |b| {
+        b.iter(|| black_box(Runtime::new(Workers::Auto).run(&lint).expect("lint runs")))
     });
 }
 

@@ -1,6 +1,7 @@
 //! The netlist graph: cells, nets, builder, validation and traversal.
 
-use std::collections::VecDeque;
+use std::fmt;
+use std::ops::{Deref, DerefMut};
 
 use crate::{CellKind, NetlistError};
 
@@ -28,6 +29,77 @@ impl NetId {
     }
 }
 
+/// A cell's input pins, stored inline: at most [`Pins::MAX`] nets
+/// (the widest [`CellKind`] arity), dereferencing to `[NetId]`.
+#[derive(Clone, Copy)]
+pub struct Pins {
+    nets: [NetId; Pins::MAX],
+    len: u8,
+}
+
+impl Pins {
+    /// The most pins any cell kind has.
+    pub const MAX: usize = 3;
+
+    /// The first [`Pins::MAX`] nets of `nets`; any beyond are dropped.
+    /// [`NetlistBuilder`] records the arity error before it truncates.
+    pub fn new(nets: &[NetId]) -> Self {
+        let len = nets.len().min(Self::MAX);
+        let mut pins = Self {
+            nets: [NetId(0); Self::MAX],
+            len: len as u8,
+        };
+        pins.nets[..len].copy_from_slice(&nets[..len]);
+        pins
+    }
+}
+
+impl Deref for Pins {
+    type Target = [NetId];
+
+    fn deref(&self) -> &[NetId] {
+        &self.nets[..usize::from(self.len)]
+    }
+}
+
+impl DerefMut for Pins {
+    fn deref_mut(&mut self) -> &mut [NetId] {
+        &mut self.nets[..usize::from(self.len)]
+    }
+}
+
+impl<'a> IntoIterator for &'a Pins {
+    type Item = &'a NetId;
+    type IntoIter = std::slice::Iter<'a, NetId>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl<'a> IntoIterator for &'a mut Pins {
+    type Item = &'a mut NetId;
+    type IntoIter = std::slice::IterMut<'a, NetId>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter_mut()
+    }
+}
+
+impl PartialEq for Pins {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Pins {}
+
+impl fmt::Debug for Pins {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 /// One cell instance.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Cell {
@@ -36,16 +108,15 @@ pub struct Cell {
     /// Instance name (used in diagnostics and reports).
     pub name: String,
     /// Input nets, in pin order (see [`CellKind`] for pin semantics).
-    pub inputs: Vec<NetId>,
+    pub inputs: Pins,
     /// The single net this cell drives.
     pub output: NetId,
 }
 
-/// One net: a single driver and any number of sinks.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One net: a single driver and any number of sinks. Its name is
+/// derived from the driver ([`Netlist::net_name`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Net {
-    /// Net name (derived from the driving cell).
-    pub name: String,
     /// The driving cell.
     pub driver: CellId,
 }
@@ -90,7 +161,10 @@ pub struct Netlist {
     name: String,
     cells: Vec<Cell>,
     nets: Vec<Net>,
-    fanouts: Vec<Vec<CellId>>,
+    /// CSR fanout: the sinks of net `n` are
+    /// `fanout_cells[fanout_start[n]..fanout_start[n + 1]]`.
+    fanout_start: Vec<u32>,
+    fanout_cells: Vec<CellId>,
     topo: Vec<CellId>,
     primary_inputs: Vec<CellId>,
     primary_outputs: Vec<CellId>,
@@ -122,9 +196,19 @@ impl Netlist {
         &self.nets[id.index()]
     }
 
-    /// Cells whose inputs include `net` (the net's sinks).
+    /// The net's name: its driver's instance name with an `__o`
+    /// suffix.
+    pub fn net_name(&self, id: NetId) -> String {
+        format!("{}__o", self.cell(self.net(id).driver).name)
+    }
+
+    /// Cells whose inputs include `net` (the net's sinks), in
+    /// ascending cell order; a cell reading the net on two pins
+    /// appears twice.
     pub fn fanout(&self, net: NetId) -> &[CellId] {
-        &self.fanouts[net.index()]
+        let start = self.fanout_start[net.index()] as usize;
+        let end = self.fanout_start[net.index() + 1] as usize;
+        &self.fanout_cells[start..end]
     }
 
     /// Primary-input pseudo-cells, in creation order.
@@ -212,7 +296,12 @@ impl Netlist {
     /// (pruning a DAG subset stays acyclic) but the rebuild shares
     /// the validating constructor, so the signature is fallible.
     pub fn prune_dead_cones(&self) -> Result<(Netlist, PruneStats), NetlistError> {
-        let live = live_mask(&self.cells);
+        // A frozen netlist no longer carries the builder's forward-edge
+        // flag; assume the worst. This path is not build-time critical.
+        let mut sinks = live_sink_counts(&self.cells, true)?;
+        let live: Vec<bool> = (0..self.cells.len())
+            .map(|i| is_live(&self.cells, &sinks, i))
+            .collect();
         let dead = |pred: &dyn Fn(&Cell) -> bool| {
             self.cells
                 .iter()
@@ -229,21 +318,20 @@ impl Netlist {
         if stats.is_identity() {
             return Ok((self.clone(), stats));
         }
-        let (cells, nets, primary_inputs, primary_outputs) = compact(
-            self.cells.clone(),
-            self.nets.clone(),
-            self.primary_inputs.clone(),
-            self.primary_outputs.clone(),
-            &live,
-            // A frozen netlist no longer carries the builder's
-            // forward-edge flag; assume the worst. This path is not
-            // build-time critical.
+        let mut cells = self.cells.clone();
+        let mut primary_inputs = self.primary_inputs.clone();
+        let mut primary_outputs = self.primary_outputs.clone();
+        compact(
+            &mut cells,
+            &mut sinks,
+            &mut primary_inputs,
+            &mut primary_outputs,
             true,
         );
         let pruned = finalize(
             self.name.clone(),
             cells,
-            nets,
+            sinks,
             primary_inputs,
             primary_outputs,
         )?;
@@ -268,7 +356,6 @@ impl Netlist {
 pub struct NetlistBuilder {
     name: String,
     cells: Vec<Cell>,
-    nets: Vec<Net>,
     primary_inputs: Vec<CellId>,
     primary_outputs: Vec<CellId>,
     pending_error: Option<NetlistError>,
@@ -284,7 +371,6 @@ impl NetlistBuilder {
         Self {
             name: name.into(),
             cells: Vec::new(),
-            nets: Vec::new(),
             primary_inputs: Vec::new(),
             primary_outputs: Vec::new(),
             pending_error: None,
@@ -292,9 +378,11 @@ impl NetlistBuilder {
         }
     }
 
-    fn push_cell(&mut self, kind: CellKind, name: String, inputs: Vec<NetId>) -> NetId {
+    fn push_cell(&mut self, kind: CellKind, name: String, inputs: &[NetId]) -> NetId {
         // Forward net references are allowed here (sequential feedback
-        // loops need them); existence is validated in `build`.
+        // loops need them); existence is validated in `build`. The
+        // arity check reads the caller's slice, before `Pins` drops
+        // any pin past the widest arity.
         if self.pending_error.is_none() && inputs.len() != kind.arity() {
             self.pending_error = Some(NetlistError::ArityMismatch {
                 kind,
@@ -302,29 +390,24 @@ impl NetlistBuilder {
                 got: inputs.len(),
             });
         }
-        let cell_id = CellId(self.cells.len() as u32);
-        let net_id = NetId(self.nets.len() as u32);
-        if inputs.iter().any(|n| n.0 >= net_id.0) {
+        // A cell and the net it drives share one index.
+        let id = self.cells.len() as u32;
+        if inputs.iter().any(|n| n.0 >= id) {
             self.has_forward_edges = true;
         }
-        self.nets.push(Net {
-            name: format!("{name}__o"),
-            driver: cell_id,
-        });
         self.cells.push(Cell {
             kind,
             name,
-            inputs,
-            output: net_id,
+            inputs: Pins::new(inputs),
+            output: NetId(id),
         });
-        net_id
+        NetId(id)
     }
 
     /// Adds a primary input; returns the net it drives.
     pub fn add_input(&mut self, name: impl Into<String>) -> NetId {
-        let net = self.push_cell(CellKind::Input, name.into(), Vec::new());
-        let id = self.nets[net.index()].driver;
-        self.primary_inputs.push(id);
+        let net = self.push_cell(CellKind::Input, name.into(), &[]);
+        self.primary_inputs.push(self.driver_of(net));
         net
     }
 
@@ -336,7 +419,7 @@ impl NetlistBuilder {
     /// so generators can be written naturally.
     pub fn add_cell(&mut self, kind: CellKind, inputs: &[NetId]) -> NetId {
         let name = format!("{kind}_{}", self.cells.len());
-        self.push_cell(kind, name, inputs.to_vec())
+        self.push_cell(kind, name, inputs)
     }
 
     /// Adds a named logic/constant cell; returns its output net.
@@ -346,13 +429,13 @@ impl NetlistBuilder {
         name: impl Into<String>,
         inputs: &[NetId],
     ) -> NetId {
-        self.push_cell(kind, name.into(), inputs.to_vec())
+        self.push_cell(kind, name.into(), inputs)
     }
 
     /// Marks `net` as a primary output.
     pub fn add_output(&mut self, name: impl Into<String>, net: NetId) -> CellId {
-        let out_net = self.push_cell(CellKind::Output, name.into(), vec![net]);
-        let id = self.nets[out_net.index()].driver;
+        let out_net = self.push_cell(CellKind::Output, name.into(), &[net]);
+        let id = self.driver_of(out_net);
         self.primary_outputs.push(id);
         id
     }
@@ -406,10 +489,11 @@ impl NetlistBuilder {
     ///   has no topological order.
     pub fn build(mut self) -> Result<Netlist, NetlistError> {
         self.validate()?;
+        let sinks = sink_counts(&self.cells)?;
         finalize(
             self.name,
             self.cells,
-            self.nets,
+            sinks,
             self.primary_inputs,
             self.primary_outputs,
         )
@@ -420,7 +504,7 @@ impl NetlistBuilder {
     /// Identical to [`NetlistBuilder::build`] except that cells from
     /// which no primary output is reachable (flip-flops traversed
     /// transparently through their `D` pins) are dropped *before* the
-    /// fanout lists and topological order are constructed, so pruning
+    /// fanout arrays and topological order are constructed, so pruning
     /// costs one extra reverse walk rather than a second build. Ports
     /// are always kept. The result satisfies the dead-logic invariant
     /// described on [`Netlist::prune_dead_cones`].
@@ -431,28 +515,24 @@ impl NetlistBuilder {
     /// unpruned netlist, so a dead cone does not hide its own errors.
     pub fn build_pruned(mut self) -> Result<Netlist, NetlistError> {
         self.validate()?;
-        let live = live_mask(&self.cells);
-        let (cells, nets, primary_inputs, primary_outputs) = if live.iter().all(|&l| l) {
-            (
-                self.cells,
-                self.nets,
-                self.primary_inputs,
-                self.primary_outputs,
-            )
-        } else {
-            compact(
-                self.cells,
-                self.nets,
-                self.primary_inputs,
-                self.primary_outputs,
-                &live,
-                self.has_forward_edges,
-            )
-        };
-        finalize(self.name, cells, nets, primary_inputs, primary_outputs)
+        let mut sinks = live_sink_counts(&self.cells, self.has_forward_edges)?;
+        compact(
+            &mut self.cells,
+            &mut sinks,
+            &mut self.primary_inputs,
+            &mut self.primary_outputs,
+            self.has_forward_edges,
+        );
+        finalize(
+            self.name,
+            self.cells,
+            sinks,
+            self.primary_inputs,
+            self.primary_outputs,
+        )
     }
 
-    /// The deferred-error / emptiness / dangling-net checks shared by
+    /// The deferred-error and emptiness checks shared by
     /// [`NetlistBuilder::build`] and [`NetlistBuilder::build_pruned`].
     fn validate(&mut self) -> Result<(), NetlistError> {
         if let Some(e) = self.pending_error.take() {
@@ -461,62 +541,182 @@ impl NetlistBuilder {
         if self.cells.is_empty() {
             return Err(NetlistError::Empty);
         }
-        // All referenced nets (including forward references) must exist.
-        for cell in &self.cells {
-            if let Some(&bad) = cell.inputs.iter().find(|n| n.index() >= self.nets.len()) {
-                return Err(NetlistError::UnknownNet { net: bad });
-            }
-        }
         Ok(())
     }
 }
 
-/// Builds the derived structures (fanout lists, topological order) and
-/// freezes validated cell/net vectors into a [`Netlist`].
+/// Per-net sink counts, offset by one for the CSR build: `sinks[k + 1]`
+/// is the number of pins reading net `k` and `sinks[0]` is 0, so an
+/// in-place prefix sum turns the array into the fanout start offsets.
+///
+/// # Errors
+///
+/// [`NetlistError::UnknownNet`] for the first pin, in cell order, that
+/// names a net which does not exist (forward references are allowed;
+/// there is one net per cell).
+fn sink_counts(cells: &[Cell]) -> Result<Vec<u32>, NetlistError> {
+    let mut sinks = vec![0u32; cells.len() + 1];
+    for cell in cells {
+        for &pin in &cell.inputs {
+            if pin.index() >= cells.len() {
+                return Err(NetlistError::UnknownNet { net: pin });
+            }
+            sinks[pin.index() + 1] += 1;
+        }
+    }
+    Ok(sinks)
+}
+
+/// Whether cell `i` survives the prune, given the live cone's
+/// [`live_sink_counts`]: ports always do, any other cell exactly when
+/// a live cell reads its net.
+fn is_live(cells: &[Cell], sinks: &[u32], i: usize) -> bool {
+    sinks[i + 1] > 0 || matches!(cells[i].kind, CellKind::Input | CellKind::Output)
+}
+
+/// [`sink_counts`] over the *live cone* only: the cells from which a
+/// primary output is reachable through input pins, with flip-flops
+/// traversed transparently (a live DFF keeps its whole D-cone). This
+/// is the same reverse walk the L001 lint rule performs from
+/// [`Netlist::endpoints`]: a cell the walk never reaches can influence
+/// no primary output in any cycle, so removing it cannot change any
+/// observable value. [`is_live`] reads the mask off the counts, and
+/// after [`compact`] they are the pruned netlist's own sink counts.
+///
+/// Output cells seed the walk; Input cells are kept unconditionally
+/// (the module interface is part of the contract) but seed nothing, so
+/// logic hanging off an otherwise-unused input is still pruned.
+///
+/// `has_forward_edges` is the builder's flag: without a pin at or past
+/// its own cell, no cell can come alive after the sweep has passed it.
+///
+/// # Errors
+///
+/// The walk reads every pin, so it fails exactly when
+/// [`sink_counts`] does, with the same error.
+fn live_sink_counts(cells: &[Cell], has_forward_edges: bool) -> Result<Vec<u32>, NetlistError> {
+    // Cells and their output nets are index-aligned pairs (`push_cell`),
+    // so the driver of net `pin` is cell `pin`.
+    debug_assert!(
+        cells.iter().enumerate().all(|(i, c)| c.output.index() == i),
+        "cell/net pairing violated before liveness walk"
+    );
+    let n = cells.len();
+    let unknown_net = || sink_counts(cells).expect_err("a pin names a missing net");
+    // A cell's pins are walked once, when it first counts as live: at
+    // its sweep position, or — when its first live sink is a feedback
+    // `rewire` pin at or past it, which the sweep has already passed —
+    // from the DFS stack. Output cells are walked as seeds, so a sink
+    // count reaching 1 on one never queues it again.
+    let revive = |d: usize, count: u32| count == 1 && cells[d].kind != CellKind::Output;
+    let mut sinks = vec![0u32; n + 1];
+    let mut stack: Vec<usize> = Vec::new();
+    for i in (0..n).rev() {
+        let cell = &cells[i];
+        let live = match cell.kind {
+            CellKind::Input => continue,
+            CellKind::Output => true,
+            _ => sinks[i + 1] > 0,
+        };
+        if !live {
+            if cell.inputs.iter().any(|pin| pin.index() >= n) {
+                return Err(unknown_net());
+            }
+            continue;
+        }
+        for &pin in &cell.inputs {
+            let driver = pin.index();
+            if driver >= n {
+                return Err(unknown_net());
+            }
+            sinks[driver + 1] += 1;
+            if has_forward_edges && driver >= i && revive(driver, sinks[driver + 1]) {
+                stack.push(driver);
+            }
+        }
+    }
+    while let Some(i) = stack.pop() {
+        for &pin in &cells[i].inputs {
+            let driver = pin.index();
+            sinks[driver + 1] += 1;
+            if revive(driver, sinks[driver + 1]) {
+                stack.push(driver);
+            }
+        }
+    }
+    Ok(sinks)
+}
+
+/// Builds the derived structures (net table, CSR fanout, topological
+/// order) and freezes validated cells into a [`Netlist`]. Cell `i`
+/// drives net `i`, so the net table is the identity pairing. `sinks`
+/// are the cells' [`sink_counts`].
 fn finalize(
     name: String,
     cells: Vec<Cell>,
-    nets: Vec<Net>,
+    sinks: Vec<u32>,
     primary_inputs: Vec<CellId>,
     primary_outputs: Vec<CellId>,
 ) -> Result<Netlist, NetlistError> {
-    // Fanout lists.
-    let mut fanouts: Vec<Vec<CellId>> = vec![Vec::new(); nets.len()];
+    let n = cells.len();
+    debug_assert_eq!(sinks.len(), n + 1);
+    let nets: Vec<Net> = (0..n as u32).map(|i| Net { driver: CellId(i) }).collect();
+
+    // CSR fanout: prefix-sum the sink counts into start offsets, then
+    // fill in cell order (so every net's sinks are ascending) using
+    // each start as a cursor. The fill leaves `fanout_start[k]` at net
+    // `k`'s end, i.e. net `k + 1`'s start; one shift restores the
+    // starts.
+    let mut fanout_start = sinks;
+    for k in 0..n {
+        fanout_start[k + 1] += fanout_start[k];
+    }
+    let mut fanout_cells = vec![CellId(0); fanout_start[n] as usize];
     for (i, cell) in cells.iter().enumerate() {
         for &input in &cell.inputs {
-            fanouts[input.index()].push(CellId(i as u32));
+            let cursor = &mut fanout_start[input.index()];
+            fanout_cells[*cursor as usize] = CellId(i as u32);
+            *cursor += 1;
         }
     }
+    fanout_start.copy_within(0..n, 1);
+    fanout_start[0] = 0;
+    let fanout = |net: NetId| {
+        &fanout_cells[fanout_start[net.index()] as usize..fanout_start[net.index() + 1] as usize]
+    };
 
     // Kahn's algorithm on the combinational graph: edges run from a
     // cell to the sinks of its output net, except that DFFs do not
     // propagate combinationally (their output is captured state, so
-    // a DFF's D pin is not a dependency of its Q output).
-    let n = cells.len();
-    let mut indegree = vec![0usize; n];
-    for (i, cell) in cells.iter().enumerate() {
-        indegree[i] = cell
-            .inputs
-            .iter()
-            .filter(|&&net| !cells[nets[net.index()].driver.index()].kind.is_sequential())
-            .count();
-    }
-
-    let mut queue: VecDeque<CellId> = (0..n)
-        .filter(|&i| indegree[i] == 0)
-        .map(|i| CellId(i as u32))
+    // a DFF's D pin is not a dependency of its Q output). The order
+    // itself is the FIFO queue: cells are appended as they become
+    // ready and consumed from `head`.
+    let mut indegree: Vec<u32> = cells
+        .iter()
+        .map(|cell| {
+            cell.inputs
+                .iter()
+                .filter(|&&net| !cells[net.index()].kind.is_sequential())
+                .count() as u32
+        })
         .collect();
-    let mut topo = Vec::with_capacity(n);
-    while let Some(id) = queue.pop_front() {
-        topo.push(id);
+    let mut topo: Vec<CellId> = Vec::with_capacity(n);
+    topo.extend(
+        (0..n)
+            .filter(|&i| indegree[i] == 0)
+            .map(|i| CellId(i as u32)),
+    );
+    let mut head = 0;
+    while let Some(&id) = topo.get(head) {
+        head += 1;
         let cell = &cells[id.index()];
         if cell.kind.is_sequential() {
             continue; // edges out of a DFF are not combinational
         }
-        for &sink in &fanouts[cell.output.index()] {
+        for &sink in fanout(cell.output) {
             indegree[sink.index()] -= 1;
             if indegree[sink.index()] == 0 {
-                queue.push_back(sink);
+                topo.push(sink);
             }
         }
     }
@@ -532,86 +732,30 @@ fn finalize(
         name,
         cells,
         nets,
-        fanouts,
+        fanout_start,
+        fanout_cells,
         topo,
         primary_inputs,
         primary_outputs,
     })
 }
 
-/// `live[i]` is true when cell `i` reaches a primary output through
-/// input pins (flip-flops traversed transparently — a live DFF keeps
-/// its whole D-cone), or is a port cell. This is the same reverse walk
-/// the L001 lint rule performs from [`Netlist::endpoints`]: a cell the
-/// walk never reaches can influence no primary output in any cycle, so
-/// removing it cannot change any observable value.
-///
-/// Output cells seed the walk; Input cells are kept unconditionally
-/// (the module interface is part of the contract) but seed nothing, so
-/// logic hanging off an otherwise-unused input is still pruned.
-fn live_mask(cells: &[Cell]) -> Vec<bool> {
-    // Cells and their output nets are index-aligned pairs (`push_cell`),
-    // so the driver of net `pin` is cell `pin` — the walk never has to
-    // load the net table at all.
-    debug_assert!(
-        cells.iter().enumerate().all(|(i, c)| c.output.index() == i),
-        "cell/net pairing violated before liveness walk"
-    );
-    let mut live = vec![false; cells.len()];
-    let mut stack: Vec<usize> = Vec::new();
-    // One reverse sweep seeds the ports and resolves every backward
-    // edge (generators build mostly feed-forward, pins referencing
-    // earlier cells); a pin at or past the sweep position — a `rewire`
-    // feedback patch — was already visited, so it spills onto a DFS
-    // stack instead.
-    for i in (0..cells.len()).rev() {
-        let cell = &cells[i];
-        match cell.kind {
-            CellKind::Input => {
-                live[i] = true;
-                continue;
-            }
-            CellKind::Output => live[i] = true,
-            _ if !live[i] => continue,
-            _ => {}
-        }
-        for &pin in &cell.inputs {
-            let driver = pin.index();
-            if !live[driver] {
-                live[driver] = true;
-                if driver >= i {
-                    stack.push(driver);
-                }
-            }
-        }
-    }
-    while let Some(i) = stack.pop() {
-        for &pin in &cells[i].inputs {
-            let driver = pin.index();
-            if !live[driver] {
-                live[driver] = true;
-                stack.push(driver);
-            }
-        }
-    }
-    live
-}
-
-/// Drops every dead cell/net pair and renumbers the survivors.
+/// Drops every dead cell (and with it the net it drives) in place and
+/// renumbers the survivors, moving the live cone's sink counts along;
+/// a no-op when every cell is live.
 ///
 /// Cells and their output nets are created as index-aligned pairs
 /// (`push_cell`), so one rank map renumbers both id spaces; the
 /// pairing (`driver_of` identity) is preserved in the output. Every
-/// net referenced by a live cell has a live driver (the walk marked
+/// net referenced by a live cell has a live driver (the walk counted
 /// it), and every port is live, so all remaps are defined.
 fn compact(
-    mut cells: Vec<Cell>,
-    mut nets: Vec<Net>,
-    mut primary_inputs: Vec<CellId>,
-    mut primary_outputs: Vec<CellId>,
-    live: &[bool],
+    cells: &mut Vec<Cell>,
+    sinks: &mut Vec<u32>,
+    primary_inputs: &mut [CellId],
+    primary_outputs: &mut [CellId],
     has_forward_edges: bool,
-) -> (Vec<Cell>, Vec<Net>, Vec<CellId>, Vec<CellId>) {
+) {
     debug_assert!(
         cells.iter().enumerate().all(|(i, c)| c.output.index() == i),
         "cell/net pairing violated before compaction"
@@ -621,58 +765,62 @@ fn compact(
     // sit in the late reduction/adder stages, which keeps this pass
     // inside the build-time budget (the `prune_build_wallace16` bench
     // row, `speedup_min >= 0.95`).
-    let first_dead = live.iter().position(|&l| !l).unwrap_or(cells.len());
+    let Some(first_dead) = (0..cells.len()).position(|i| !is_live(cells, sinks, i)) else {
+        return;
+    };
+    // Rank map of the tail: the new id of every surviving tail cell.
+    // A feed-forward pin names an earlier cell, whose rank the move
+    // loop below has already written; only feedback `rewire`s name
+    // later cells, so the map is filled up front just for them.
     let mut new_id = vec![u32::MAX; cells.len() - first_dead];
-    let mut next = first_dead as u32;
-    for (i, &keep) in live[first_dead..].iter().enumerate() {
-        if keep {
-            new_id[i] = next;
-            next += 1;
-        }
-    }
-    let remap = |ix: u32| -> u32 {
+    let remap = |new_id: &[u32], ix: u32| -> u32 {
         if (ix as usize) < first_dead {
             ix
         } else {
             new_id[ix as usize - first_dead]
         }
     };
-    // Prefix cells keep their ids and (by pairing) their output nets;
-    // only input pins that forward-reference the renumbered tail (a
-    // feedback `rewire`) can need rewriting, so the whole scan is
-    // skipped when the builder never created a forward edge.
     if has_forward_edges {
+        let mut next = first_dead as u32;
+        for i in first_dead..cells.len() {
+            if is_live(cells, sinks, i) {
+                new_id[i - first_dead] = next;
+                next += 1;
+            }
+        }
+        // Prefix cells keep their ids and (by pairing) their output
+        // nets; only pins that forward-reference the renumbered tail
+        // can need rewriting.
         for cell in &mut cells[..first_dead] {
             for pin in &mut cell.inputs {
-                *pin = NetId(remap(pin.0));
+                *pin = NetId(remap(&new_id, pin.0));
             }
         }
     }
-    // Tail survivors shift down in place; a cell landing at position
-    // `p` drives net `p` (the pairing is preserved), so outputs and
-    // drivers come straight from the position counter and only input
-    // pins go through the rank map.
-    let tail_cells = cells.split_off(first_dead);
-    for (j, mut cell) in tail_cells.into_iter().enumerate() {
-        if live[first_dead + j] {
+    // Tail survivors swap down in place; a cell landing at position
+    // `p` drives net `p` (the pairing is preserved), so outputs come
+    // straight from the position counter and only input pins go
+    // through the rank map. The dead cells end up past the last
+    // survivor and are truncated.
+    let mut kept = first_dead;
+    for i in first_dead..cells.len() {
+        if is_live(cells, sinks, i) {
+            new_id[i - first_dead] = kept as u32;
+            sinks[kept + 1] = sinks[i + 1];
+            cells.swap(kept, i);
+            let cell = &mut cells[kept];
             for pin in &mut cell.inputs {
-                *pin = NetId(remap(pin.0));
+                *pin = NetId(remap(&new_id, pin.0));
             }
-            cell.output = NetId(cells.len() as u32);
-            cells.push(cell);
+            cell.output = NetId(kept as u32);
+            kept += 1;
         }
     }
-    let tail_nets = nets.split_off(first_dead);
-    for (j, mut net) in tail_nets.into_iter().enumerate() {
-        if live[first_dead + j] {
-            net.driver = CellId(nets.len() as u32);
-            nets.push(net);
-        }
-    }
+    cells.truncate(kept);
+    sinks.truncate(kept + 1);
     for id in primary_inputs.iter_mut().chain(primary_outputs.iter_mut()) {
-        *id = CellId(remap(id.0));
+        *id = CellId(remap(&new_id, id.0));
     }
-    (cells, nets, primary_inputs, primary_outputs)
 }
 
 #[cfg(test)]
@@ -763,12 +911,60 @@ mod tests {
     }
 
     #[test]
+    fn surplus_pins_fail_build_with_the_full_count() {
+        let mut b = NetlistBuilder::new("bad");
+        let a = b.add_input("a");
+        let bb = b.add_input("b");
+        let c = b.add_input("c");
+        let d = b.add_input("d");
+        // Four nets on a two-pin gate: `Pins` keeps three, but the
+        // error reports the four the caller passed.
+        let _ = b.add_cell(CellKind::And2, &[a, bb, c, d]);
+        let err = b.build().unwrap_err();
+        assert_eq!(
+            err,
+            NetlistError::ArityMismatch {
+                kind: CellKind::And2,
+                expected: 2,
+                got: 4
+            }
+        );
+    }
+
+    #[test]
+    fn pins_hold_up_to_three_nets_inline() {
+        let nets = [NetId(7), NetId(3), NetId(9), NetId(1)];
+        for len in 0..=Pins::MAX {
+            let pins = Pins::new(&nets[..len]);
+            assert_eq!(&*pins, &nets[..len]);
+            assert_eq!(format!("{pins:?}"), format!("{:?}", &nets[..len]));
+        }
+        assert_eq!(&*Pins::new(&nets), &nets[..Pins::MAX]);
+        assert_ne!(Pins::new(&nets[..2]), Pins::new(&nets[..3]));
+    }
+
+    #[test]
     fn unknown_net_detected() {
         let mut b = NetlistBuilder::new("bad");
         let _ = b.add_input("x");
         let _ = b.add_cell(CellKind::Inv, &[NetId(99)]);
         let err = b.build().unwrap_err();
         assert!(matches!(err, NetlistError::UnknownNet { .. }));
+    }
+
+    #[test]
+    fn build_pruned_reports_the_first_unknown_net_in_cell_order() {
+        // The liveness walk runs in reverse and meets the live cell's
+        // bad pin first; the error still names the dead cell's, which
+        // comes first in cell order, as `build` does.
+        let mut b = NetlistBuilder::new("bad");
+        let x = b.add_input("x");
+        let _ = b.add_cell(CellKind::Inv, &[NetId(99)]);
+        let y = b.add_cell(CellKind::And2, &[x, NetId(98)]);
+        b.add_output("y", y);
+        let expected = NetlistError::UnknownNet { net: NetId(99) };
+        assert_eq!(b.clone().build().unwrap_err(), expected);
+        assert_eq!(b.build_pruned().unwrap_err(), expected);
     }
 
     #[test]
@@ -805,8 +1001,8 @@ mod tests {
         // driven by an inv fed by the dff's q, constructed via the
         // two-step builder on indices we know in advance.
         // Cell 0 = dff reads net 1 (inv output); cell 1 = inv reads net 0.
-        let d_net = b.push_cell(CellKind::Dff, "t".into(), vec![NetId(1)]);
-        let _ = b.push_cell(CellKind::Inv, "n".into(), vec![d_net]);
+        let d_net = b.push_cell(CellKind::Dff, "t".into(), &[NetId(1)]);
+        let _ = b.push_cell(CellKind::Inv, "n".into(), &[d_net]);
         let nl = b.build().expect("DFF feedback must be legal");
         assert_eq!(nl.dff_count(), 1);
     }

@@ -14,6 +14,22 @@
 //! * three-valued cell evaluation ([`Logic`], [`CellKind::eval`])
 //!   shared with the event-driven simulator.
 //!
+//! # Layout
+//!
+//! A frozen [`Netlist`] costs a few flat arrays plus one heap string
+//! per cell (its instance name):
+//!
+//! * **Cells and nets are paired.** Cell `i` drives net `i`, so a
+//!   [`Net`] holds only its driver, and a net's name is derived on
+//!   demand: [`Netlist::net_name`] is the driver's name plus `__o`.
+//! * **Inline pins.** [`Cell::inputs`] is a [`Pins`]: up to three
+//!   [`NetId`]s stored in the cell itself, dereferencing to
+//!   `[NetId]`. No cell kind has more than three pins.
+//! * **CSR fanout.** The sinks of every net sit in one flat cell
+//!   array, indexed by per-net start offsets (compressed sparse row).
+//!   It is filled in cell order, so [`Netlist::fanout`] returns each
+//!   net's sinks in ascending cell order.
+//!
 //! # Examples
 //!
 //! Build and inspect a full adder:
@@ -50,6 +66,6 @@ mod stats;
 pub use cell::{CellKind, Logic};
 pub use error::NetlistError;
 pub use export::{to_dot, to_verilog};
-pub use graph::{Cell, CellId, Net, NetId, Netlist, NetlistBuilder, PruneStats};
+pub use graph::{Cell, CellId, Net, NetId, Netlist, NetlistBuilder, Pins, PruneStats};
 pub use library::{CellSpec, Library};
 pub use stats::NetlistStats;

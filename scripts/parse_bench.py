@@ -14,6 +14,8 @@ document:
       "schema": "optpower-bench/v1",
       "bench": "<bench target name>",
       "commit": "<sha or null>",
+      "nproc": <usable cores>,
+      "rustc": "<rustc -V or null>",
       "entries": [{"id": ..., "mean_ns": ..., "min_ns": ...}, ...],
       "speedups": {"<label>": {"serial_mean_ns": ..., "parallel_mean_ns": ...,
                                "speedup": ..., "speedup_min": ...}, ...},
@@ -28,6 +30,10 @@ guards with tight margins should read "speedup_min".
 
 Usage: parse_bench.py <bench-output.txt> <out.json> [--bench NAME]
                       [--notes-from <existing-summary.json>]
+
+"commit" is $GITHUB_SHA in CI and `git rev-parse HEAD` elsewhere;
+"nproc" is the number of cores this process may run on. Both it and
+"rustc" are recorded because the speedups depend on them.
 
 --notes-from copies the "notes" object of an existing summary (for the
 CI job: the committed BENCH_sweep.json) into the new document, so
@@ -54,6 +60,7 @@ lane engines against the 64-lane engine at equal stimulus volume.
 import json
 import os
 import re
+import subprocess
 import sys
 
 LINE = re.compile(
@@ -69,10 +76,20 @@ NS_PER = {"ns": 1.0, "us": 1e3, "µs": 1e3, "ms": 1e6, "s": 1e9}
 # a loopback coordinator/worker cluster. Its ratio is local/dist time,
 # and the 0.9 floor caps the wire protocol's overhead (connect, frame
 # codec, payload re-parse, merge) at ~10% of the job it ships.
+# prune_build_wallace16 is raw/pruned build time (see above);
+# sta_vs_timed_wallace16 is the dynamic glitch measurement against
+# one static STA + glitch-bound pass; wallace16_640v is the scalar
+# zero-delay engine against the 64-lane bit-parallel one at equal
+# stimulus; lint_all_widths is the CI lint job (321 netlists) at one
+# worker against the whole pool.
 ACCEPTANCE = {
     "bitparallel_256_wallace16": 2.0,
     "bitparallel_512_wallace16": 2.0,
     "dist_overhead_wallace16": 0.9,
+    "prune_build_wallace16": 0.95,
+    "sta_vs_timed_wallace16": 100.0,
+    "wallace16_640v": 10.0,
+    "lint_all_widths": 1.3,
 }
 
 
@@ -130,6 +147,23 @@ def check_acceptance(speedups):
     return failures
 
 
+def command_output(argv):
+    """A command's stripped stdout, or None when it cannot run."""
+    try:
+        done = subprocess.run(argv, capture_output=True, text=True, check=True, timeout=30)
+    except (OSError, subprocess.SubprocessError):
+        return None
+    return done.stdout.strip() or None
+
+
+def usable_cores():
+    """What `nproc` prints: the cores this process may be scheduled on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count()
+
+
 def read_notes(path):
     """The "notes" object of an existing summary, or None."""
     try:
@@ -167,7 +201,9 @@ def main(argv):
     doc = {
         "schema": "optpower-bench/v1",
         "bench": bench_name,
-        "commit": os.environ.get("GITHUB_SHA"),
+        "commit": os.environ.get("GITHUB_SHA") or command_output(["git", "rev-parse", "HEAD"]),
+        "nproc": usable_cores(),
+        "rustc": command_output(["rustc", "-V"]),
         "entries": entries,
         "speedups": derive_speedups(entries),
     }

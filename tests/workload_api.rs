@@ -265,6 +265,12 @@ fn representative_specs() -> Vec<JobSpec> {
             archs: Some(vec!["RCA".into(), "Wallace".into()]),
             widths: Some(vec![8, 16]),
         }),
+        // The CI lint gate shape: every architecture at every width it
+        // supports, generated and linted on the pool.
+        JobSpec::Lint(LintSpec {
+            archs: None,
+            widths: None,
+        }),
         JobSpec::Sta(StaSpec {
             archs: Some(vec!["RCA".into(), "Sequential".into()]),
             width: 8,
@@ -615,6 +621,51 @@ fn invalid_specs_surface_one_workload_error() {
         let err = runtime.run(&spec).unwrap_err();
         assert!(matches!(err, WorkloadError::Spec(_)), "{spec:?}: {err:?}");
         assert!(err.to_string().contains(needle), "{err}");
+    }
+}
+
+/// An explicit lint arch list with a width one of them lacks fails
+/// with the spec error the serial job raised — the first unsupported
+/// (architecture, width) pair in list order — at every worker count:
+/// the whole list is validated before the pool generates anything.
+#[test]
+fn lint_width_error_is_the_first_in_list_order() {
+    let spec = JobSpec::Lint(LintSpec {
+        archs: Some(vec![
+            "RCA".into(),
+            "Wallace".into(),
+            "Sequential".into(),
+            "Seq4_16".into(),
+        ]),
+        widths: Some(vec![8, 6, 12]),
+    });
+    for workers in [1usize, 2, 8] {
+        let err = Runtime::new(Workers::Fixed(workers))
+            .run(&spec)
+            .unwrap_err();
+        let WorkloadError::Spec(e) = err else {
+            panic!("{workers} workers: {err:?}");
+        };
+        assert_eq!(
+            e.message,
+            "Sequential does not support operand width 6 \
+             (arrays/trees: 2..=32; sequential family: power of two >= 4)",
+            "{workers} workers"
+        );
+    }
+}
+
+/// The lint job runs on the pool, so its `meta.workers` is the
+/// runtime's resolved worker count like every other pooled job.
+#[test]
+fn lint_meta_reports_the_pool_size() {
+    let spec = JobSpec::Lint(LintSpec {
+        archs: Some(vec!["RCA".into()]),
+        widths: Some(vec![4, 8]),
+    });
+    for workers in [1usize, 2, 8] {
+        let artifact = Runtime::new(Workers::Fixed(workers)).run(&spec).unwrap();
+        assert_eq!(artifact.meta.workers, workers);
     }
 }
 
