@@ -43,7 +43,7 @@ impl Pins {
 
     /// The first [`Pins::MAX`] nets of `nets`; any beyond are dropped.
     /// [`NetlistBuilder`] records the arity error before it truncates.
-    pub fn new(nets: &[NetId]) -> Self {
+    pub(crate) fn new(nets: &[NetId]) -> Self {
         let len = nets.len().min(Self::MAX);
         let mut pins = Self {
             nets: [NetId(0); Self::MAX],
