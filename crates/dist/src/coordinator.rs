@@ -5,13 +5,17 @@
 //! Three rules keep the merged artifact deterministic whatever the
 //! cluster does:
 //!
-//! * **deterministic assignment** — each shard's home host is the
-//!   rendezvous-hash winner over the *alive* host set
-//!   ([`assign_host`]), so two coordinators with the same host list
-//!   agree, and losing a host only moves that host's shards;
-//! * **result identity by shard key** — results are keyed by the shard
-//!   spec's canonical key and merged in shard order, so retries,
-//!   duplicates and arrival order cannot change the payload;
+//! * **deterministic, load-capped assignment** — each round plans all
+//!   pending shards at once ([`plan_hosts`]): walking them in shard
+//!   order, each goes to its rendezvous-hash winner ([`assign_host`])
+//!   among the *alive* hosts still holding fewer than
+//!   `ceil(pending / alive)` shards. No host stacks two shards while
+//!   another idles, two coordinators with the same host list agree
+//!   whatever its order, and losing a host only re-plans that host's
+//!   unfinished shards;
+//! * **result identity by shard position** — in-flight results are
+//!   held by their shard's position and merged in shard order, so
+//!   retries and arrival order cannot change the payload;
 //! * **failure taxonomy** — a worker *death* (connect failure, EOF,
 //!   heartbeat silence past the timeout) retries the unfinished
 //!   shards elsewhere and is visible only in `meta.dist.retries`,
@@ -152,14 +156,52 @@ pub struct DistRun {
 /// its assignment, which is what makes retry placement stable and
 /// testable.
 pub fn assign_host<'a>(hosts: &'a [String], shard_key: &str) -> &'a str {
-    hosts
-        .iter()
-        .max_by(|a, b| {
+    let i = rendezvous_winner(hosts.iter().enumerate(), shard_key)
+        .expect("assign_host requires a non-empty host list");
+    &hosts[i]
+}
+
+/// The position of the rendezvous winner for `shard_key` among the
+/// `(position, host)` candidates — the one weight definition behind
+/// [`assign_host`] and [`plan_hosts`].
+fn rendezvous_winner<'a>(
+    candidates: impl Iterator<Item = (usize, &'a String)>,
+    shard_key: &str,
+) -> Option<usize> {
+    candidates
+        .max_by(|(_, a), (_, b)| {
             let wa = fnv1a_64(format!("{shard_key}|{a}").as_bytes());
             let wb = fnv1a_64(format!("{shard_key}|{b}").as_bytes());
             wa.cmp(&wb).then_with(|| b.cmp(a))
         })
-        .expect("assign_host requires a non-empty host list")
+        .map(|(i, _)| i)
+}
+
+/// The load-capped shard → host plan for one round (rendezvous hashing
+/// with bounded loads, Mirrokni–Thorup–Zadimoghaddam, SODA 2018).
+/// Shards are walked in the given order; each goes to the host
+/// [`assign_host`] would pick among the hosts still holding fewer than
+/// `ceil(shards / hosts)` shards. So with no more shards than hosts
+/// every shard gets its own host, and no host ever carries more than
+/// its share. The plan depends only on the hosts and the key
+/// sequence, not on the order `hosts` lists them in.
+///
+/// # Panics
+///
+/// If `hosts` is empty while `shard_keys` is not.
+pub fn plan_hosts<'a, K: AsRef<str>>(hosts: &'a [String], shard_keys: &[K]) -> Vec<&'a str> {
+    let cap = shard_keys.len().div_ceil(hosts.len().max(1));
+    let mut load = vec![0usize; hosts.len()];
+    shard_keys
+        .iter()
+        .map(|key| {
+            let open = hosts.iter().enumerate().filter(|&(i, _)| load[i] < cap);
+            let i = rendezvous_winner(open, key.as_ref())
+                .expect("plan_hosts requires a non-empty host list");
+            load[i] += 1;
+            hosts[i].as_str()
+        })
+        .collect()
 }
 
 /// A coordinator over a fixed set of worker addresses.
@@ -265,12 +307,12 @@ impl Cluster {
             hosts: self.hosts.len(),
             ..DistStats::default()
         };
-        let mut results: HashMap<String, ShardResult> = HashMap::new();
+        let mut results: Vec<Option<ShardResult>> = keyed.iter().map(|_| None).collect();
         if let Some(cache) = &self.cache {
-            for (key, _) in &keyed {
+            for ((key, _), slot) in keyed.iter().zip(&mut results) {
                 match cache.lookup(key) {
                     Some(r) => {
-                        results.insert(key.clone(), r);
+                        *slot = Some(r);
                         stats.shard_cache_hits += 1;
                     }
                     None => stats.shard_cache_misses += 1,
@@ -279,27 +321,30 @@ impl Cluster {
         }
         let mut alive = self.hosts.clone();
         let mut last_death = String::from("no host contacted");
-        while results.len() < keyed.len() {
+        loop {
+            let pending: Vec<usize> = (0..keyed.len()).filter(|&i| results[i].is_none()).collect();
+            if pending.is_empty() {
+                break;
+            }
             if alive.is_empty() {
                 return Err(DistError::AllHostsDead { detail: last_death });
             }
-            let mut assignment: BTreeMap<String, Vec<&(String, JobSpec)>> = BTreeMap::new();
-            for pair in keyed.iter().filter(|(k, _)| !results.contains_key(k)) {
-                assignment
-                    .entry(assign_host(&alive, &pair.0).to_string())
-                    .or_default()
-                    .push(pair);
+            let pending_keys: Vec<&str> = pending.iter().map(|&i| keyed[i].0.as_str()).collect();
+            let mut assignment: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
+            for (&i, host) in pending.iter().zip(plan_hosts(&alive, &pending_keys)) {
+                assignment.entry(host).or_default().push(i);
             }
             let timeout_ms = self.timeout_ms;
+            let keyed = &keyed;
             let round: Vec<(String, usize, HostOutcome)> = thread::scope(|scope| {
                 let handles: Vec<_> = assignment
                     .iter()
-                    .map(|(host, shards)| {
+                    .map(|(&host, shards)| {
                         scope.spawn(move || {
                             (
-                                host.clone(),
+                                host.to_string(),
                                 shards.len(),
-                                run_host(host, shards, timeout_ms),
+                                run_host(host, keyed, shards, timeout_ms),
                             )
                         })
                     })
@@ -312,11 +357,11 @@ impl Cluster {
             for (host, assigned, outcome) in round {
                 let completed = outcome.completed.len() as u64;
                 *stats.per_host.entry(host.clone()).or_insert(0) += completed;
-                for r in outcome.completed {
+                for (i, r) in outcome.completed {
                     if let Some(cache) = &self.cache {
-                        cache.insert(&r.shard, &r);
+                        cache.insert(&keyed[i].0, &r);
                     }
-                    results.insert(r.shard.clone(), r);
+                    results[i] = Some(r);
                 }
                 if let Some(body) = outcome.failed {
                     return Err(DistError::Shard(body));
@@ -328,11 +373,11 @@ impl Cluster {
                 }
             }
         }
-        // Everything below is pure merging; order results in shard
-        // order so arrival order is irrelevant.
-        let ordered: Vec<ShardResult> = keyed
-            .iter()
-            .map(|(k, _)| results.remove(k).expect("loop exits only when complete"))
+        // Everything below is pure merging, already in shard order, so
+        // arrival order is irrelevant.
+        let ordered: Vec<ShardResult> = results
+            .into_iter()
+            .map(|r| r.expect("loop exits only when complete"))
             .collect();
         for r in &ordered {
             match r.cache {
@@ -455,16 +500,23 @@ impl Cluster {
 
 #[derive(Default)]
 struct HostOutcome {
-    completed: Vec<ShardResult>,
+    /// Completed shards, each with its position in the shard list.
+    completed: Vec<(usize, ShardResult)>,
     failed: Option<ErrorBody>,
     died: bool,
 }
 
-/// Drives one host through its assigned shards over one connection.
-/// Any transport irregularity — connect failure, missing Hello, EOF,
-/// a read timing out past the heartbeat window — marks the host dead;
-/// only an explicit Error frame is a deterministic job failure.
-fn run_host(host: &str, shards: &[&(String, JobSpec)], timeout_ms: u64) -> HostOutcome {
+/// Drives one host through its assigned shards (positions into
+/// `keyed`) over one connection. Any transport irregularity — connect
+/// failure, missing Hello, EOF, a read timing out past the heartbeat
+/// window — marks the host dead; only an explicit Error frame is a
+/// deterministic job failure.
+fn run_host(
+    host: &str,
+    keyed: &[(String, JobSpec)],
+    shards: &[usize],
+    timeout_ms: u64,
+) -> HostOutcome {
     let mut out = HostOutcome::default();
     let mut stream = match TcpStream::connect(host) {
         Ok(s) => s,
@@ -482,7 +534,8 @@ fn run_host(host: &str, shards: &[&(String, JobSpec)], timeout_ms: u64) -> HostO
             return out;
         }
     }
-    for (key, spec) in shards {
+    for &i in shards {
+        let (key, spec) = &keyed[i];
         let assign = ShardFrame::Assign {
             shard: key.clone(),
             spec: spec.clone(),
@@ -495,7 +548,7 @@ fn run_host(host: &str, shards: &[&(String, JobSpec)], timeout_ms: u64) -> HostO
             match ShardFrame::read_from(&mut stream) {
                 Ok(ShardFrame::Heartbeat { .. }) => continue,
                 Ok(ShardFrame::Result(r)) if r.shard == *key => {
-                    out.completed.push(*r);
+                    out.completed.push((i, *r));
                     break;
                 }
                 Ok(ShardFrame::Error { error, .. }) => {
@@ -608,6 +661,64 @@ mod tests {
                 assert_ne!(after, "h2:1");
             }
         }
+    }
+
+    fn hosts(n: usize) -> Vec<String> {
+        (1..=n).map(|i| format!("h{i}:1")).collect()
+    }
+
+    fn keys(n: usize) -> Vec<String> {
+        (0..n).map(|i| format!("{:016x}", i * 0x9e37)).collect()
+    }
+
+    /// With no more shards than hosts every shard gets its own host,
+    /// and the first shard always lands on its unconstrained
+    /// rendezvous winner.
+    #[test]
+    fn plan_spreads_shards_that_fit() {
+        for h in 1..=6 {
+            let hosts = hosts(h);
+            for n in 1..=h {
+                let keys = keys(n);
+                let plan = plan_hosts(&hosts, &keys);
+                assert_eq!(plan.len(), n);
+                let distinct: std::collections::BTreeSet<&str> = plan.iter().copied().collect();
+                assert_eq!(distinct.len(), n, "{h} hosts, {n} shards: {plan:?}");
+                assert_eq!(plan[0], assign_host(&hosts, &keys[0]));
+            }
+        }
+    }
+
+    /// More shards than hosts: every host's load stays within
+    /// `ceil(n / h)`, and a single host takes everything.
+    #[test]
+    fn plan_caps_every_host_load() {
+        let hosts = hosts(3);
+        let keys = keys(10);
+        let plan = plan_hosts(&hosts, &keys);
+        for h in &hosts {
+            let load = plan.iter().filter(|&&p| p == h).count();
+            assert!(load <= 4, "{h} carries {load} of 10");
+        }
+        let one = hosts[..1].to_vec();
+        assert!(plan_hosts(&one, &keys).iter().all(|&p| p == "h1:1"));
+        assert!(plan_hosts(&one, &Vec::<String>::new()).is_empty());
+        // A host listed twice is two slots, so the plan stays total.
+        let twice = vec!["h1:1".to_string(), "h1:1".to_string()];
+        assert!(plan_hosts(&twice, &keys).iter().all(|&p| p == "h1:1"));
+    }
+
+    /// The plan is a function of the host *set*: listing the hosts in
+    /// another order changes nothing.
+    #[test]
+    fn plan_ignores_host_list_order() {
+        let hosts = hosts(4);
+        let keys = keys(7);
+        let plan = plan_hosts(&hosts, &keys);
+        let reversed: Vec<String> = hosts.iter().rev().cloned().collect();
+        assert_eq!(plan_hosts(&reversed, &keys), plan);
+        let rotated: Vec<String> = hosts[2..].iter().chain(&hosts[..2]).cloned().collect();
+        assert_eq!(plan_hosts(&rotated, &keys), plan);
     }
 
     /// A cluster with no hosts fails fast with a typed error.

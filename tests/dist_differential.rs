@@ -4,10 +4,11 @@
 //! single-host [`Runtime::run`] result at shard counts 1, 2, 4 and 8,
 //! with distribution visible only in `meta.dist`. Plus pure
 //! properties of the sharding algebra itself: the arch axis
-//! partitions exactly for any shard count and subset, and rendezvous
-//! assignment is total and deterministic.
+//! partitions exactly for any shard count and subset, rendezvous
+//! assignment is total and deterministic, and the load-capped plan
+//! over it is balanced and independent of host-list order.
 
-use optpower_dist::{assign_host, spawn, Cluster, WorkerHandle};
+use optpower_dist::{assign_host, plan_hosts, spawn, Cluster, WorkerHandle};
 use optpower_explore::Workers;
 use optpower_mult::Architecture;
 use optpower_workload::{AbInitioSpec, ActivitySpec, GlitchSweepSpec, JobSpec, Runtime};
@@ -183,5 +184,41 @@ proptest! {
         let first = assign_host(&hosts, &shard_key).to_string();
         prop_assert!(hosts.contains(&first));
         prop_assert_eq!(assign_host(&hosts, &shard_key), first.as_str());
+    }
+
+    /// The load-capped plan places every shard on a listed host, is
+    /// deterministic, ignores the order the hosts are listed in, caps
+    /// every host at `ceil(n / h)` shards, and gives each shard its own
+    /// host whenever `n <= h`.
+    #[test]
+    fn load_capped_plan_is_total_balanced_and_order_free(
+        hosts_n in 1usize..=6,
+        keys_n in 1usize..=16,
+        salt in any::<u64>(),
+        rotate in 0usize..6,
+    ) {
+        let port = 7000 + salt % 1000;
+        let hosts: Vec<String> = (0..hosts_n).map(|i| format!("10.0.0.{i}:{port}")).collect();
+        let keys: Vec<String> = (0..keys_n as u64)
+            .map(|i| format!("{:016x}", salt.wrapping_add(i.wrapping_mul(0x9e37_79b9_7f4a_7c15))))
+            .collect();
+        let plan = plan_hosts(&hosts, &keys);
+        prop_assert_eq!(plan.len(), keys_n);
+        prop_assert!(plan.iter().all(|h| hosts.iter().any(|x| x == h)));
+        prop_assert_eq!(&plan_hosts(&hosts, &keys), &plan);
+        let mut permuted: Vec<String> = hosts.iter().rev().cloned().collect();
+        permuted.rotate_left(rotate % hosts_n);
+        prop_assert_eq!(&plan_hosts(&permuted, &keys), &plan);
+        let cap = keys_n.div_ceil(hosts_n);
+        for h in &hosts {
+            let load = plan.iter().filter(|&&p| p == h).count();
+            prop_assert!(load <= cap, "{} carries {} > {}", h, load, cap);
+        }
+        if keys_n <= hosts_n {
+            let mut distinct = plan.clone();
+            distinct.sort_unstable();
+            distinct.dedup();
+            prop_assert_eq!(distinct.len(), keys_n);
+        }
     }
 }

@@ -11,7 +11,7 @@ use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
 use std::thread;
 
-use optpower_dist::{assign_host, spawn, Cluster};
+use optpower_dist::{plan_hosts, spawn, Cluster};
 use optpower_explore::Workers;
 use optpower_serve::ShardCache;
 use optpower_workload::{AbInitioSpec, JobSpec, Runtime, ShardFrame};
@@ -65,20 +65,20 @@ fn worker_death_mid_shard_retries_without_changing_a_byte() {
     )
     .expect("healthy worker");
 
-    // Rendezvous placement is deterministic in (shard key, host
-    // address), so bind fresh faulty listeners until one actually
-    // wins a shard — then the death is guaranteed to happen.
+    // The load-capped placement plan is deterministic in (shard keys,
+    // host set), so bind fresh faulty listeners until one is actually
+    // planned a shard — then the death is guaranteed to happen.
     let (faulty, hosts) = loop {
         let candidate = spawn_faulty_worker();
         let hosts = vec![healthy.addr().to_string(), candidate.to_string()];
         let victim = candidate.to_string();
-        if shard_keys.iter().any(|k| assign_host(&hosts, k) == victim) {
+        if plan_hosts(&hosts, &shard_keys).contains(&victim.as_str()) {
             break (victim, hosts);
         }
     };
-    let planned_deaths = shard_keys
-        .iter()
-        .filter(|k| assign_host(&hosts, k) == faulty)
+    let planned_deaths = plan_hosts(&hosts, &shard_keys)
+        .into_iter()
+        .filter(|&h| h == faulty)
         .count() as u64;
 
     // Baselines: single-host, and a fault-free two-worker cluster.
@@ -142,7 +142,7 @@ fn resubmission_after_a_fault_is_a_pure_shard_cache_hit() {
         let candidate = spawn_faulty_worker();
         let hosts = vec![healthy.addr().to_string(), candidate.to_string()];
         let victim = candidate.to_string();
-        if shard_keys.iter().any(|k| assign_host(&hosts, k) == victim) {
+        if plan_hosts(&hosts, &shard_keys).contains(&victim.as_str()) {
             break hosts;
         }
     };
