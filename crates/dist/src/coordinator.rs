@@ -26,31 +26,19 @@
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::net::TcpStream;
-use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
 use optpower_explore::{available_workers, Workers};
 use optpower_workload::{
     fnv1a_64, Artifact, CacheStatus, DistMeta, ErrorBody, JobSpec, Json, RowCacheStats, ShardFrame,
-    ShardResult, SpecError, WorkloadError,
+    ShardResult, SpecError, Store, WorkloadError,
 };
 
 /// Default per-shard silence window before a worker is declared dead.
 /// Workers heartbeat every [`crate::HEARTBEAT_MS`], so this bounds
 /// death *detection* latency, not shard compute time.
 pub const DEFAULT_SHARD_TIMEOUT_MS: u64 = 10_000;
-
-/// Pluggable coordinator-side cache of completed shard results,
-/// keyed by the shard spec's canonical key. The serve crate plugs its
-/// bounded `ShardCache` in here so a shard resubmitted after a retry
-/// (or by the next job sharing grid cells) never travels to a worker.
-pub trait ShardResultCache: Send + Sync {
-    /// The cached result for a shard key, if resident.
-    fn lookup(&self, shard_key: &str) -> Option<ShardResult>;
-    /// Stores a completed shard result.
-    fn insert(&self, shard_key: &str, result: &ShardResult);
-}
 
 /// How a distributed run failed.
 #[derive(Debug)]
@@ -211,7 +199,7 @@ pub struct Cluster {
     shards: usize,
     timeout_ms: u64,
     workers: Workers,
-    cache: Option<Arc<dyn ShardResultCache>>,
+    cache: Option<Store<ShardResult>>,
 }
 
 impl fmt::Debug for Cluster {
@@ -259,9 +247,12 @@ impl Cluster {
         self
     }
 
-    /// Attaches a shard-result cache consulted before fan-out and
-    /// filled after every completed shard.
-    pub fn with_cache(mut self, cache: Arc<dyn ShardResultCache>) -> Self {
+    /// Attaches a shard-result [`Store`], keyed by each shard spec's
+    /// canonical JSON, consulted before fan-out and filled after
+    /// every completed shard. A shard resubmitted after a retry (or
+    /// by the next job sharing grid cells) then never travels to a
+    /// worker while resident; clones of the store share its entries.
+    pub fn with_cache(mut self, cache: Store<ShardResult>) -> Self {
         self.cache = Some(cache);
         self
     }
@@ -309,8 +300,8 @@ impl Cluster {
         };
         let mut results: Vec<Option<ShardResult>> = keyed.iter().map(|_| None).collect();
         if let Some(cache) = &self.cache {
-            for ((key, _), slot) in keyed.iter().zip(&mut results) {
-                match cache.lookup(key) {
+            for ((_, shard), slot) in keyed.iter().zip(&mut results) {
+                match cache.get(&shard.canonical_json()) {
                     Some(r) => {
                         *slot = Some(r);
                         stats.shard_cache_hits += 1;
@@ -359,7 +350,7 @@ impl Cluster {
                 *stats.per_host.entry(host.clone()).or_insert(0) += completed;
                 for (i, r) in outcome.completed {
                     if let Some(cache) = &self.cache {
-                        cache.insert(&keyed[i].0, &r);
+                        cache.insert(keyed[i].1.canonical_json(), r.clone());
                     }
                     results[i] = Some(r);
                 }
@@ -410,7 +401,7 @@ impl Cluster {
     ) -> Result<DistRun, DistError> {
         // A single shard whose spec IS the whole job (the n = 1 path
         // of every kind, batches included) needs no recomposition.
-        let passthrough = keyed.len() == 1 && keyed[0].0 == spec.canonical_key();
+        let passthrough = keyed.len() == 1 && keyed[0].1.canonical_json() == spec.canonical_json();
         match spec {
             // Typed merge: re-parse shard payloads into real rows and
             // reassemble in spec order.
@@ -437,14 +428,14 @@ impl Cluster {
             // because the JSON tree round-trips bytes.
             JobSpec::Batch(jobs) if !passthrough => {
                 let mut by_key: HashMap<String, &ShardResult> = HashMap::new();
-                for (i, (key, _)) in keyed.iter().enumerate() {
-                    by_key.insert(key.clone(), &ordered[i]);
+                for (i, (_, shard)) in keyed.iter().enumerate() {
+                    by_key.insert(shard.canonical_json(), &ordered[i]);
                 }
                 let mut entries = Vec::new();
                 let mut csv = String::new();
                 let mut texts = Vec::new();
                 for job in jobs {
-                    let r = by_key.get(&job.canonical_key()).ok_or_else(|| {
+                    let r = by_key.get(&job.canonical_json()).ok_or_else(|| {
                         WorkloadError::from(SpecError::new(format!(
                             "shard results missing batch member {:?}",
                             job.kind()

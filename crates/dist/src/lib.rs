@@ -6,7 +6,6 @@ pub mod coordinator;
 pub mod worker;
 
 pub use coordinator::{
-    assign_host, plan_hosts, Cluster, DistError, DistRun, DistStats, ShardResultCache,
-    DEFAULT_SHARD_TIMEOUT_MS,
+    assign_host, plan_hosts, Cluster, DistError, DistRun, DistStats, DEFAULT_SHARD_TIMEOUT_MS,
 };
 pub use worker::{serve, spawn, WorkerHandle, HEARTBEAT_MS};

@@ -137,12 +137,12 @@ impl Artifact {
             JobSpec::Batch(jobs) => {
                 let mut by_key: HashMap<String, Artifact> = HashMap::new();
                 for shard in shards {
-                    by_key.entry(shard.spec.canonical_key()).or_insert(shard);
+                    by_key.entry(shard.spec.canonical_json()).or_insert(shard);
                 }
                 let members = jobs
                     .iter()
                     .map(|job| {
-                        by_key.get(&job.canonical_key()).cloned().ok_or_else(|| {
+                        by_key.get(&job.canonical_json()).cloned().ok_or_else(|| {
                             SpecError::new(format!(
                                 "shard results missing batch member {:?}",
                                 job.kind()
@@ -165,7 +165,7 @@ impl Artifact {
                         .into())
                     }
                 };
-                if shard.spec.canonical_key() != spec.canonical_key() {
+                if shard.spec.canonical_json() != spec.canonical_json() {
                     return Err(wrong_kind(spec, &shard).into());
                 }
                 return Ok(shard);

@@ -2,8 +2,8 @@
 //!
 //! A shard is an ordinary `JobSpec` — it travels over the frozen
 //! `optpower-job/v1` wire form, executes through the unchanged
-//! [`crate::Runtime`], and is content-addressed by the same
-//! [`JobSpec::canonical_key`] as any other job. Distribution therefore
+//! [`crate::Runtime`], and is identified by the same
+//! [`JobSpec::canonical_json`] as any other job. Distribution therefore
 //! adds no new execution semantics: a coordinator fans shard specs out
 //! to workers and [`crate::Artifact::merge_shards`] reassembles the
 //! single-host payload bit for bit.
@@ -34,7 +34,7 @@ impl JobSpec {
     ///   yield slightly more than `n` shards;
     /// * `table1_sweep` — the published row axis;
     /// * `batch` — one shard per *unique* member (deduplicated by
-    ///   canonical key, first-occurrence order), so repeated members
+    ///   canonical JSON, first-occurrence order), so repeated members
     ///   execute once and the merge clones;
     /// * everything else — indivisible: one shard, the spec itself.
     ///
@@ -103,9 +103,9 @@ impl JobSpec {
                 let mut seen = Vec::new();
                 let mut shards = Vec::new();
                 for job in jobs {
-                    let key = job.canonical_key();
-                    if !seen.contains(&key) {
-                        seen.push(key);
+                    let identity = job.canonical_json();
+                    if !seen.contains(&identity) {
+                        seen.push(identity);
                         shards.push(job.clone());
                     }
                 }
@@ -250,7 +250,7 @@ mod tests {
         }
     }
 
-    /// Batch sharding deduplicates repeated members by canonical key,
+    /// Batch sharding deduplicates repeated members by canonical JSON,
     /// keeping first-occurrence order.
     #[test]
     fn batch_shards_are_unique_members() {

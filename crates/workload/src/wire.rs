@@ -350,8 +350,9 @@ pub enum ShardFrame {
     },
     /// Coordinator → worker: run one shard spec.
     Assign {
-        /// The shard spec's canonical key (shard identity everywhere:
-        /// assignment hashing, caching, result correlation).
+        /// The shard spec's canonical key, a label for placement
+        /// hashing and result correlation; caching and merging
+        /// identify a shard by its spec's canonical JSON.
         shard: String,
         /// The shard spec itself.
         spec: JobSpec,
