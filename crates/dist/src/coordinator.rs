@@ -2,6 +2,13 @@
 //! worker processes, survive worker death, and merge the results back
 //! into the single-host envelope bit for bit.
 //!
+//! There is one merge path for every kind: each worker result is
+//! turned into an [`Artifact`] as it arrives
+//! ([`Artifact::from_shard_result`], which rejects a document that
+//! answers any spec but the assigned shard), and the shard artifacts
+//! go through [`Artifact::merge_shards`]. The coordinator stamps only
+//! `meta.wall_ms`, `meta.row_cache` and `meta.dist`.
+//!
 //! Three rules keep the merged artifact deterministic whatever the
 //! cluster does:
 //!
@@ -23,15 +30,15 @@
 //!   or unsolvable) fails the whole run immediately: retrying a pure
 //!   function cannot change its answer.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::net::TcpStream;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use optpower_explore::{available_workers, Workers};
+use optpower_explore::Workers;
 use optpower_workload::{
-    fnv1a_64, Artifact, CacheStatus, DistMeta, ErrorBody, JobSpec, Json, RowCacheStats, ShardFrame,
+    fnv1a_64, Artifact, CacheStatus, DistMeta, ErrorBody, JobSpec, RowCacheStats, ShardFrame,
     ShardResult, SpecError, Store, WorkloadError,
 };
 
@@ -114,15 +121,14 @@ pub struct DistStats {
     pub wall_ms: f64,
 }
 
-/// A merged distributed run: the three renderings (always), the typed
-/// artifact when the kind reconstructs typed, and the scheduling
-/// stats.
+/// A merged distributed run: the merged artifact, its three
+/// renderings, and the scheduling stats.
 #[derive(Debug, Clone)]
 pub struct DistRun {
-    /// The merged typed artifact with `meta.dist` stamped — present
-    /// for the typed-merge kinds (`ab_initio`, `glitch_sweep`,
-    /// `table1_sweep`); `None` for rendered-level merges (batch and
-    /// indivisible jobs).
+    /// The merged artifact with `meta.dist` stamped. Every run merges
+    /// through [`Artifact::merge_shards`], so this is always `Some`;
+    /// it stays an `Option` only because the benchmark harness reads
+    /// it as one, and flattening it waits for a benchmark change.
     pub artifact: Option<Artifact>,
     /// The full JSON envelope (payload + `meta` incl. `dist`).
     pub json: String,
@@ -280,11 +286,12 @@ impl Cluster {
             .into());
         }
         // A glitch sweep always decomposes (its payload has no typed
-        // single-document re-parser, but its ab-initio cells do);
-        // every other kind honours the requested count, including the
-        // n = 1 pass-through.
+        // single-document re-parser, but its ab-initio cells do), and
+        // so does a batch, so that its members come back as separate
+        // artifacts, as on one host. Every other kind honours the
+        // requested count, including the n = 1 pass-through.
         let target = match spec {
-            JobSpec::GlitchSweep(_) => self.shards.max(2),
+            JobSpec::GlitchSweep(_) | JobSpec::Batch(_) => self.shards.max(2),
             _ => self.shards,
         };
         let keyed: Vec<(String, JobSpec)> = spec
@@ -298,12 +305,15 @@ impl Cluster {
             hosts: self.hosts.len(),
             ..DistStats::default()
         };
-        let mut results: Vec<Option<ShardResult>> = keyed.iter().map(|_| None).collect();
+        // Every result becomes an `Artifact` the moment it arrives, so
+        // a malformed or foreign answer fails the run before it can
+        // reach the shard cache.
+        let mut results: Vec<Option<Artifact>> = keyed.iter().map(|_| None).collect();
         if let Some(cache) = &self.cache {
             for ((_, shard), slot) in keyed.iter().zip(&mut results) {
                 match cache.get(&shard.canonical_json()) {
                     Some(r) => {
-                        *slot = Some(r);
+                        *slot = Some(Artifact::from_shard_result(shard, &r)?);
                         stats.shard_cache_hits += 1;
                     }
                     None => stats.shard_cache_misses += 1,
@@ -349,10 +359,11 @@ impl Cluster {
                 let completed = outcome.completed.len() as u64;
                 *stats.per_host.entry(host.clone()).or_insert(0) += completed;
                 for (i, r) in outcome.completed {
+                    let shard = &keyed[i].1;
+                    results[i] = Some(Artifact::from_shard_result(shard, &r)?);
                     if let Some(cache) = &self.cache {
-                        cache.insert(keyed[i].1.canonical_json(), r.clone());
+                        cache.insert(shard.canonical_json(), r);
                     }
-                    results[i] = Some(r);
                 }
                 if let Some(body) = outcome.failed {
                     return Err(DistError::Shard(body));
@@ -366,126 +377,39 @@ impl Cluster {
         }
         // Everything below is pure merging, already in shard order, so
         // arrival order is irrelevant.
-        let ordered: Vec<ShardResult> = results
+        let ordered: Vec<Artifact> = results
             .into_iter()
             .map(|r| r.expect("loop exits only when complete"))
             .collect();
-        for r in &ordered {
-            match r.cache {
+        for shard in &ordered {
+            match shard.meta.cache {
                 Some(CacheStatus::Hit) => stats.cache_hits += 1,
                 Some(CacheStatus::Miss) => stats.cache_misses += 1,
                 None => {}
             }
-            if let Some(rc) = r.row_cache {
+            if let Some(rc) = shard.meta.row_cache {
                 let sum = stats.row_cache.get_or_insert_with(RowCacheStats::default);
                 sum.hits += rc.hits;
                 sum.misses += rc.misses;
             }
         }
-        let dist = DistMeta {
+        let mut artifact = Artifact::merge_shards(spec, ordered, self.workers)?;
+        stats.wall_ms = started.elapsed().as_secs_f64() * 1e3;
+        artifact.meta.wall_ms = stats.wall_ms;
+        artifact.meta.row_cache = stats.row_cache;
+        artifact.meta.dist = Some(DistMeta {
             hosts: self.hosts.len(),
             shards: keyed.len(),
             retries: stats.retries,
-        };
-        stats.wall_ms = started.elapsed().as_secs_f64() * 1e3;
-        self.merge(spec, &keyed, ordered, dist, stats)
-    }
-
-    fn merge(
-        &self,
-        spec: &JobSpec,
-        keyed: &[(String, JobSpec)],
-        ordered: Vec<ShardResult>,
-        dist: DistMeta,
-        stats: DistStats,
-    ) -> Result<DistRun, DistError> {
-        // A single shard whose spec IS the whole job (the n = 1 path
-        // of every kind, batches included) needs no recomposition.
-        let passthrough = keyed.len() == 1 && keyed[0].1.canonical_json() == spec.canonical_json();
-        match spec {
-            // Typed merge: re-parse shard payloads into real rows and
-            // reassemble in spec order.
-            JobSpec::AbInitio(_) | JobSpec::GlitchSweep(_) | JobSpec::Table1Sweep { .. } => {
-                let artifacts = ordered
-                    .iter()
-                    .map(|r| Artifact::from_payload_json(&r.payload_json))
-                    .collect::<Result<Vec<_>, _>>()?;
-                let mut artifact = Artifact::merge_shards(spec, artifacts, self.workers)?;
-                artifact.meta.wall_ms = stats.wall_ms;
-                artifact.meta.workers = resolved(self.workers);
-                artifact.meta.row_cache = stats.row_cache;
-                artifact.meta.dist = Some(dist);
-                Ok(DistRun {
-                    json: artifact.to_json(),
-                    payload_json: artifact.payload_json(),
-                    csv: artifact.to_csv(),
-                    text: artifact.render_text(),
-                    artifact: Some(artifact),
-                    stats,
-                })
-            }
-            // Rendered merge: member documents recompose exactly
-            // because the JSON tree round-trips bytes.
-            JobSpec::Batch(jobs) if !passthrough => {
-                let mut by_key: HashMap<String, &ShardResult> = HashMap::new();
-                for (i, (_, shard)) in keyed.iter().enumerate() {
-                    by_key.insert(shard.canonical_json(), &ordered[i]);
-                }
-                let mut entries = Vec::new();
-                let mut csv = String::new();
-                let mut texts = Vec::new();
-                for job in jobs {
-                    let r = by_key.get(&job.canonical_json()).ok_or_else(|| {
-                        WorkloadError::from(SpecError::new(format!(
-                            "shard results missing batch member {:?}",
-                            job.kind()
-                        )))
-                    })?;
-                    let doc = parse_payload_doc(&r.payload_json)?;
-                    entries.push(Json::obj([
-                        ("job", field(&doc, "job")?),
-                        ("spec", field(&doc, "spec")?),
-                        ("payload", field(&doc, "payload")?),
-                    ]));
-                    csv.push_str(&format!("# job: {}\n", job.kind()));
-                    csv.push_str(&r.csv);
-                    texts.push(r.text.clone());
-                }
-                let payload_doc = Json::obj([
-                    ("schema", Json::str("optpower-workload/v1")),
-                    ("job", Json::str("batch")),
-                    ("spec", spec.to_json_value()),
-                    ("payload", Json::Arr(entries)),
-                ]);
-                let payload_json = payload_doc.to_string();
-                let json = envelope(payload_doc, &stats, None, None, dist);
-                Ok(DistRun {
-                    artifact: None,
-                    json,
-                    payload_json,
-                    csv,
-                    text: texts.join("\n"),
-                    stats,
-                })
-            }
-            // Indivisible job: the single shard's renderings pass
-            // through verbatim; only the envelope meta is rebuilt.
-            _ => {
-                let r = ordered.into_iter().next().ok_or_else(|| {
-                    WorkloadError::from(SpecError::new("no shard results to merge"))
-                })?;
-                let payload_doc = parse_payload_doc(&r.payload_json)?;
-                let json = envelope(payload_doc, &stats, r.cache, r.row_cache, dist);
-                Ok(DistRun {
-                    artifact: None,
-                    json,
-                    payload_json: r.payload_json,
-                    csv: r.csv,
-                    text: r.text,
-                    stats,
-                })
-            }
-        }
+        });
+        Ok(DistRun {
+            json: artifact.to_json(),
+            payload_json: artifact.payload_json(),
+            csv: artifact.to_csv(),
+            text: artifact.render_text(),
+            artifact: Some(artifact),
+            stats,
+        })
     }
 }
 
@@ -554,70 +478,6 @@ fn run_host(
         }
     }
     out
-}
-
-/// The concrete worker count for envelope metadata.
-fn resolved(workers: Workers) -> usize {
-    match workers {
-        Workers::Auto => available_workers(),
-        Workers::Fixed(n) => n.max(1),
-    }
-}
-
-fn parse_payload_doc(text: &str) -> Result<Json, WorkloadError> {
-    Json::parse(text).map_err(|e| SpecError::new(e.to_string()).into())
-}
-
-fn field(doc: &Json, key: &str) -> Result<Json, WorkloadError> {
-    doc.get(key)
-        .cloned()
-        .ok_or_else(|| SpecError::new(format!("shard payload document lacks {key:?}")).into())
-}
-
-/// Appends the run `meta` object to a payload document, in the exact
-/// field order [`Artifact::to_json`] uses.
-fn envelope(
-    payload_doc: Json,
-    stats: &DistStats,
-    cache: Option<CacheStatus>,
-    row_cache: Option<RowCacheStats>,
-    dist: DistMeta,
-) -> String {
-    let Json::Obj(mut pairs) = payload_doc else {
-        unreachable!("payload documents are objects");
-    };
-    let mut meta = vec![
-        ("seed".to_string(), Json::Null),
-        (
-            "workers".to_string(),
-            Json::UInt(resolved(Workers::Auto) as u64),
-        ),
-        ("engine".to_string(), Json::Null),
-        ("wall_ms".to_string(), Json::num(stats.wall_ms)),
-        (
-            "cache".to_string(),
-            cache.map(|c| Json::str(c.label())).unwrap_or(Json::Null),
-        ),
-    ];
-    if let Some(rc) = row_cache {
-        meta.push((
-            "row_cache".to_string(),
-            Json::obj([
-                ("hits", Json::UInt(rc.hits)),
-                ("misses", Json::UInt(rc.misses)),
-            ]),
-        ));
-    }
-    meta.push((
-        "dist".to_string(),
-        Json::obj([
-            ("hosts", Json::UInt(dist.hosts as u64)),
-            ("shards", Json::UInt(dist.shards as u64)),
-            ("retries", Json::UInt(dist.retries)),
-        ]),
-    ));
-    pairs.push(("meta".to_string(), Json::Obj(meta)));
-    Json::Obj(pairs).to_string()
 }
 
 #[cfg(test)]

@@ -288,14 +288,8 @@ fn run_dist(args: &[String]) -> ExitCode {
         WireFormat::Json => println!("{}", run.json),
         WireFormat::Csv => print!("{}", run.csv),
     }
-    if let Some(dir) = out_dir {
-        let written = match &run.artifact {
-            Some(artifact) => optpower_workload::cli::write_artifact_files(artifact, &dir),
-            // Rendered-level merges still land the standard triple,
-            // from the merged strings.
-            None => write_rendered_files(&run, spec.kind(), &dir),
-        };
-        match written {
+    if let (Some(dir), Some(artifact)) = (out_dir, &run.artifact) {
+        match optpower_workload::cli::write_artifact_files(artifact, &dir) {
             Ok(n) => eprintln!("wrote {} artifact files to {}", n, dir.display()),
             Err(e) => {
                 eprintln!("error: {e}");
@@ -304,23 +298,6 @@ fn run_dist(args: &[String]) -> ExitCode {
         }
     }
     ExitCode::SUCCESS
-}
-
-fn write_rendered_files(
-    run: &optpower_dist::DistRun,
-    kind: &str,
-    dir: &std::path::Path,
-) -> Result<usize, optpower_workload::WorkloadError> {
-    use optpower_workload::WorkloadError;
-    std::fs::create_dir_all(dir).map_err(|e| WorkloadError::io(dir.display().to_string(), e))?;
-    let mut written = 0usize;
-    for (ext, contents) in [("json", &run.json), ("csv", &run.csv), ("txt", &run.text)] {
-        let path = dir.join(format!("{kind}.{ext}"));
-        std::fs::write(&path, contents)
-            .map_err(|e| WorkloadError::io(path.display().to_string(), e))?;
-        written += 1;
-    }
-    Ok(written)
 }
 
 fn run_submit(args: &[String]) -> ExitCode {

@@ -358,7 +358,9 @@ fn execute_distributed(shared: &Shared, cluster: &Cluster, key: &str, spec: &Job
                     .row_cache_misses
                     .fetch_add(rc.misses, Relaxed);
             }
-            let artifact = run.artifact.expect("distributed kinds merge typed");
+            let artifact = run
+                .artifact
+                .expect("every distributed run merges an artifact");
             shared
                 .metrics
                 .record_wall(artifact.kind(), artifact.meta.wall_ms);

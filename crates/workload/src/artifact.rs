@@ -15,7 +15,7 @@
 //!   `meta` object that only [`Artifact::to_json`] includes;
 //! * **legacy-faithful text** — [`Artifact::render_text`] is exactly
 //!   the stdout of the retired bespoke binary for the same job, so
-//!   rewiring the binaries into shims changed no observable output.
+//!   `optpower <kind>` prints what that binary printed.
 
 use optpower_report::ablation::{FitRangeResult, GlitchAblationRow, OptimizerAblationRow};
 use optpower_report::extended::{render_scaling, render_sensitivities, ScalingRow, SensitivityRow};
@@ -297,6 +297,17 @@ pub enum Payload {
     PruneDelta(Vec<PruneDeltaRow>),
     /// One artifact per batch member, in batch order.
     Batch(Vec<Artifact>),
+    /// A shard result of a kind without a typed re-parser, kept as the
+    /// worker rendered it. Re-rendering reproduces the worker's bytes,
+    /// so a coordinator merges it like any typed payload.
+    Rendered {
+        /// The `payload` value of the worker's artifact document.
+        payload: Json,
+        /// The worker's [`Artifact::to_csv`].
+        csv: String,
+        /// The worker's [`Artifact::render_text`].
+        text: String,
+    },
 }
 
 /// The uniform envelope: spec + payload + run metadata.
@@ -317,8 +328,8 @@ impl Artifact {
     }
 
     /// The console rendering — byte-identical to the stdout the
-    /// retired bespoke binary printed for the same job (the shim
-    /// prints exactly this through one `println!`).
+    /// retired bespoke binary printed for the same job
+    /// (`optpower <kind>` prints exactly this through one `println!`).
     pub fn render_text(&self) -> String {
         match &self.payload {
             Payload::Rows { title, rows } => render_rows(title, rows),
@@ -524,6 +535,7 @@ impl Artifact {
                 .map(Artifact::render_text)
                 .collect::<Vec<_>>()
                 .join("\n"),
+            Payload::Rendered { text, .. } => text.clone(),
         }
     }
 
@@ -859,6 +871,7 @@ impl Artifact {
                 }
                 out
             }
+            Payload::Rendered { csv, .. } => csv.clone(),
         }
     }
 }
@@ -1278,6 +1291,7 @@ fn payload_data(payload: &Payload) -> Json {
                 })
                 .collect(),
         ),
+        Payload::Rendered { payload, .. } => payload.clone(),
     }
 }
 

@@ -1,5 +1,6 @@
-//! The single `optpower` command-line front-end, plus the legacy shim
-//! entry points the twelve retired report binaries forward to.
+//! The single `optpower` command-line front-end. Every retired report
+//! binary survives as an `optpower <kind>` subcommand with its legacy
+//! flag set and byte-identical stdout.
 //!
 //! ```text
 //! optpower list                         # the job catalogue
@@ -39,20 +40,6 @@ pub fn main_with_args(args: Vec<String>) -> ExitCode {
             let body = ErrorBody::of(&e);
             eprintln!("error: {e}");
             ExitCode::from(body.exit_code())
-        }
-    }
-}
-
-/// Entry point of a legacy shim binary (`table1`, `ab_initio`, …):
-/// byte-identical stdout to the retired bespoke binary, arguments
-/// included.
-pub fn legacy_main(kind: &str) -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match run_legacy(kind, &args) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
         }
     }
 }

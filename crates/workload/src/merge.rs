@@ -2,14 +2,22 @@
 //!
 //! The inverse of [`JobSpec::shard`]: given the artifacts the shard
 //! specs produced — in *any* order — rebuild the artifact the
-//! unsharded spec would have produced, bit for bit. Two properties
-//! carry the whole module:
+//! unsharded spec would have produced, bit for bit. A coordinator
+//! first turns each worker's [`ShardResult`] into an [`Artifact`]
+//! ([`Artifact::from_shard_result`]), so every kind takes the one
+//! merge path, [`Artifact::merge_shards`]. Three properties carry the
+//! whole module:
 //!
-//! * **typed reconstruction** — shard payloads are re-parsed into the
-//!   real row types ([`AbInitioRow`], [`RowComparison`]), and because
-//!   the JSON writer uses shortest-round-trip float formatting,
-//!   `parse(write(x)) == x` exactly, so the merged rendering is
-//!   byte-identical to the single-host one;
+//! * **typed reconstruction** — `ab_initio` and `table1_sweep` shard
+//!   payloads are re-parsed into the real row types ([`AbInitioRow`],
+//!   [`RowComparison`]), and because the JSON writer uses
+//!   shortest-round-trip float formatting, `parse(write(x)) == x`
+//!   exactly, so the merged rendering is byte-identical to the
+//!   single-host one;
+//! * **rendered pass-through** — every other kind comes back as
+//!   [`Payload::Rendered`], the worker's own payload value, CSV and
+//!   text. Such a shard is always a whole job or a whole batch member,
+//!   so its bytes are reused as they are, never recombined;
 //! * **spec-derived order** — the merge orders rows by the original
 //!   spec's resolution order (the same order [`JobSpec::shard`] cut
 //!   along), never by shard arrival order, so a retried or reordered
@@ -17,9 +25,8 @@
 //!
 //! The underlying combination rules are the worker-count-invariant
 //! ones the rest of the workspace already exposes: row union for the
-//! characterization grids, [`optpower_sim::ActivityReport::combine`]
-//! for pooled activity measurements, and the frequency sweep rebuilt
-//! from merged rows via [`glitch_sweep_from_rows`] (whose
+//! characterization grids, and the frequency sweep rebuilt from merged
+//! rows via [`glitch_sweep_from_rows`] (whose
 //! [`optpower_explore::ResultSet`] grids are themselves concatenations
 //! of contiguous slices — see `ResultSet::concat`).
 
@@ -28,7 +35,6 @@ use std::collections::HashMap;
 use optpower_explore::Workers;
 use optpower_mult::Architecture;
 use optpower_report::{glitch_sweep_from_rows, table1_names, AbInitioRow, RowComparison};
-use optpower_sim::ActivityReport;
 
 use crate::artifact::{Artifact, Payload, RunMeta, ARTIFACT_SCHEMA};
 use crate::error::{SpecError, WorkloadError};
@@ -36,6 +42,7 @@ use crate::json::Json;
 use crate::runtime::{resolve_archs, resolve_table1_names, resolved, TABLE1_TITLE};
 use crate::shard::glitch_cells;
 use crate::spec::{engine_name, JobSpec};
+use crate::wire::ShardResult;
 
 impl Artifact {
     /// Merges shard artifacts back into the artifact `spec` would have
@@ -44,7 +51,9 @@ impl Artifact {
     /// grid coordinates and emitted in the spec's own resolution
     /// order, so the merged [`Artifact::payload_json`] /
     /// [`Artifact::to_csv`] / [`Artifact::render_text`] are
-    /// byte-identical to the single-host run.
+    /// byte-identical to the single-host run. A single shard whose
+    /// spec is the whole job (a batch included) passes through as it
+    /// is; only its `meta.workers` is restamped.
     ///
     /// Meta is rebuilt from the spec (seed/engine as the runtime
     /// stamps them) with `wall_ms` zero and no cache/dist fields — the
@@ -57,18 +66,10 @@ impl Artifact {
     /// payloads of the wrong kind.
     pub fn merge_shards(
         spec: &JobSpec,
-        shards: Vec<Artifact>,
+        mut shards: Vec<Artifact>,
         workers: Workers,
     ) -> Result<Artifact, WorkloadError> {
-        let mut meta = RunMeta {
-            seed: None,
-            workers: resolved(workers),
-            engine: None,
-            wall_ms: 0.0,
-            cache: None,
-            row_cache: None,
-            dist: None,
-        };
+        let mut meta = blank_meta(resolved(workers));
         let payload = match spec {
             JobSpec::AbInitio(s) => {
                 meta.seed = Some(s.seed);
@@ -115,24 +116,12 @@ impl Artifact {
                     rows,
                 }
             }
-            JobSpec::ActivityMeasure(s) => {
-                meta.seed = Some(s.seed);
-                meta.engine = Some(engine_name(s.engine));
-                meta.workers = 1;
-                let reports = shards
-                    .into_iter()
-                    .map(|shard| match shard.payload {
-                        Payload::Activity { report, .. } => Ok(report),
-                        _ => Err(wrong_kind(spec, &shard)),
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
-                if reports.is_empty() {
-                    return Err(SpecError::new("no shard results to merge").into());
-                }
-                Payload::Activity {
-                    spec: s.clone(),
-                    report: ActivityReport::combine(&reports),
-                }
+            // The n = 1 path of every other kind: the single shard IS
+            // the artifact.
+            _ if shards.len() == 1 && shards[0].spec.canonical_json() == spec.canonical_json() => {
+                let mut whole = shards.remove(0);
+                whole.meta.workers = meta.workers;
+                return Ok(whole);
             }
             JobSpec::Batch(jobs) => {
                 let mut by_key: HashMap<String, Artifact> = HashMap::new();
@@ -152,23 +141,12 @@ impl Artifact {
                     .collect::<Result<Vec<_>, _>>()?;
                 Payload::Batch(members)
             }
-            // Indivisible jobs: the single shard IS the artifact.
             _ => {
-                let mut shards = shards;
-                let shard = match (shards.pop(), shards.is_empty()) {
-                    (Some(shard), true) => shard,
-                    _ => {
-                        return Err(SpecError::new(format!(
-                            "job {:?} does not shard; expected exactly one shard result",
-                            spec.kind()
-                        ))
-                        .into())
-                    }
-                };
-                if shard.spec.canonical_json() != spec.canonical_json() {
-                    return Err(wrong_kind(spec, &shard).into());
-                }
-                return Ok(shard);
+                return Err(SpecError::new(format!(
+                    "job {:?} does not shard; expected exactly one shard result for it",
+                    spec.kind()
+                ))
+                .into())
             }
         };
         Ok(Artifact {
@@ -180,10 +158,10 @@ impl Artifact {
 
     /// Re-parses an [`Artifact::payload_json`] document back into a
     /// typed artifact — the coordinator's inverse of the wire
-    /// rendering, for the kinds that travel as shards (`ab_initio`,
-    /// `table1_sweep`/`table3`/`table4` comparison rows,
-    /// `activity_measure`). Numbers round-trip exactly (the writer
-    /// uses shortest-round-trip formatting and `null` encodes NaN), so
+    /// rendering, for the kinds whose shards merge row by row
+    /// (`ab_initio` characterization rows and `table1_sweep`
+    /// comparison rows). Numbers round-trip exactly (the writer uses
+    /// shortest-round-trip formatting and `null` encodes NaN), so
     /// re-rendering the parsed artifact reproduces the input bytes.
     /// Meta is zeroed: the payload document never carried any.
     ///
@@ -192,72 +170,126 @@ impl Artifact {
     /// [`WorkloadError::Spec`] on schema mismatch, a kind without a
     /// typed re-parser, or malformed rows.
     pub fn from_payload_json(text: &str) -> Result<Artifact, WorkloadError> {
-        let doc = Json::parse(text).map_err(|e| SpecError::new(e.to_string()))?;
-        let schema = doc.get("schema").and_then(Json::as_str).unwrap_or("");
-        if schema != ARTIFACT_SCHEMA {
+        let (spec, payload) = parse_document(text)?;
+        typed_artifact(spec, &payload)
+    }
+
+    /// Turns one worker's [`ShardResult`] for the assigned `shard` spec
+    /// into an artifact [`Artifact::merge_shards`] accepts. An
+    /// `ab_initio` or `table1_sweep` shard re-parses typed, as in
+    /// [`Artifact::from_payload_json`]; every other kind becomes a
+    /// [`Payload::Rendered`] of the worker's payload value, CSV and
+    /// text. Meta carries the worker's wall time and cache counters.
+    ///
+    /// # Errors
+    ///
+    /// [`WorkloadError::Spec`] when the payload document is malformed,
+    /// has another schema, or answers any spec but `shard` — a worker
+    /// can never make the coordinator serve another job's bytes.
+    pub fn from_shard_result(
+        shard: &JobSpec,
+        result: &ShardResult,
+    ) -> Result<Artifact, WorkloadError> {
+        let (spec, payload) = parse_document(&result.payload_json)?;
+        if spec.canonical_json() != shard.canonical_json() {
             return Err(SpecError::new(format!(
-                "unsupported artifact schema {schema:?} (expected {ARTIFACT_SCHEMA:?})"
+                "shard result answers a {:?} spec ({}), not the assigned {:?} shard ({})",
+                spec.kind(),
+                spec.canonical_key(),
+                shard.kind(),
+                shard.canonical_key()
             ))
             .into());
         }
-        let spec = JobSpec::from_json_value(
-            doc.get("spec")
-                .ok_or_else(|| SpecError::new("artifact document needs a \"spec\" object"))?,
-        )?;
-        let payload = doc
-            .get("payload")
-            .ok_or_else(|| SpecError::new("artifact document needs a \"payload\" field"))?;
-        let typed = match &spec {
-            JobSpec::AbInitio(_) => Payload::AbInitio(
-                rows_array(payload)?
-                    .iter()
-                    .map(ab_initio_row)
-                    .collect::<Result<Vec<_>, _>>()?,
-            ),
-            JobSpec::Table1Sweep { .. } | JobSpec::Table3 | JobSpec::Table4 => {
-                let title = payload
-                    .get("title")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| SpecError::new("rows payload needs a string \"title\""))?
-                    .to_string();
-                Payload::Rows {
-                    title,
-                    rows: rows_array(payload)?
-                        .iter()
-                        .map(comparison_row)
-                        .collect::<Result<Vec<_>, _>>()?,
-                }
-            }
-            JobSpec::ActivityMeasure(s) => Payload::Activity {
-                spec: s.clone(),
-                report: ActivityReport {
-                    activity: f64_or_nan(payload, "activity")?,
-                    transitions: uint(payload, "transitions")?,
-                    items: uint(payload, "measured_items")?,
-                    cells: uint(payload, "cells")? as usize,
+        let mut artifact = match spec {
+            JobSpec::AbInitio(_) | JobSpec::Table1Sweep { .. } => typed_artifact(spec, &payload)?,
+            spec => Artifact {
+                spec,
+                payload: Payload::Rendered {
+                    payload,
+                    csv: result.csv.clone(),
+                    text: result.text.clone(),
                 },
+                meta: blank_meta(1),
             },
-            other => {
-                return Err(SpecError::new(format!(
-                    "job kind {:?} has no typed shard re-parser",
-                    other.kind()
-                ))
-                .into())
-            }
         };
-        Ok(Artifact {
-            spec,
-            payload: typed,
-            meta: RunMeta {
-                seed: None,
-                workers: 1,
-                engine: None,
-                wall_ms: 0.0,
-                cache: None,
-                row_cache: None,
-                dist: None,
-            },
-        })
+        artifact.meta.wall_ms = result.wall_ms;
+        artifact.meta.cache = result.cache;
+        artifact.meta.row_cache = result.row_cache;
+        Ok(artifact)
+    }
+}
+
+/// Splits an artifact payload document into its spec and its
+/// `payload` value, checking the schema tag.
+fn parse_document(text: &str) -> Result<(JobSpec, Json), WorkloadError> {
+    let doc = Json::parse(text).map_err(|e| SpecError::new(e.to_string()))?;
+    let schema = doc.get("schema").and_then(Json::as_str).unwrap_or("");
+    if schema != ARTIFACT_SCHEMA {
+        return Err(SpecError::new(format!(
+            "unsupported artifact schema {schema:?} (expected {ARTIFACT_SCHEMA:?})"
+        ))
+        .into());
+    }
+    let spec = JobSpec::from_json_value(
+        doc.get("spec")
+            .ok_or_else(|| SpecError::new("artifact document needs a \"spec\" object"))?,
+    )?;
+    let payload = doc
+        .get("payload")
+        .cloned()
+        .ok_or_else(|| SpecError::new("artifact document needs a \"payload\" field"))?;
+    Ok((spec, payload))
+}
+
+/// The typed artifact of a row-merged kind's payload value.
+fn typed_artifact(spec: JobSpec, payload: &Json) -> Result<Artifact, WorkloadError> {
+    let typed = match &spec {
+        JobSpec::AbInitio(_) => Payload::AbInitio(
+            rows_array(payload)?
+                .iter()
+                .map(ab_initio_row)
+                .collect::<Result<Vec<_>, _>>()?,
+        ),
+        JobSpec::Table1Sweep { .. } => {
+            let title = payload
+                .get("title")
+                .and_then(Json::as_str)
+                .ok_or_else(|| SpecError::new("rows payload needs a string \"title\""))?
+                .to_string();
+            Payload::Rows {
+                title,
+                rows: rows_array(payload)?
+                    .iter()
+                    .map(comparison_row)
+                    .collect::<Result<Vec<_>, _>>()?,
+            }
+        }
+        other => {
+            return Err(SpecError::new(format!(
+                "job kind {:?} has no typed shard re-parser",
+                other.kind()
+            ))
+            .into())
+        }
+    };
+    Ok(Artifact {
+        spec,
+        payload: typed,
+        meta: blank_meta(1),
+    })
+}
+
+/// Run metadata with nothing stamped but the worker count.
+fn blank_meta(workers: usize) -> RunMeta {
+    RunMeta {
+        seed: None,
+        workers,
+        engine: None,
+        wall_ms: 0.0,
+        cache: None,
+        row_cache: None,
+        dist: None,
     }
 }
 
@@ -543,6 +575,11 @@ mod tests {
         assert_eq!(members[0].spec, member);
         assert_eq!(members[2].spec, member);
         assert_eq!(members[1].spec, JobSpec::Table2);
+        // A single shard whose spec is the whole batch passes through.
+        let whole = shard_artifact(spec.clone(), Payload::Batch(Vec::new()));
+        let passed = Artifact::merge_shards(&spec, vec![whole], Workers::Fixed(1)).unwrap();
+        assert_eq!(passed.spec, spec);
+        assert!(matches!(&passed.payload, Payload::Batch(m) if m.is_empty()));
     }
 
     /// Indivisible jobs round-trip through the merge as a single

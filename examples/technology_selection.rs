@@ -102,9 +102,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          sweep shows the flavour crossovers — slow/low-leakage wins at low f,\n\
          fast/leaky as timing tightens. With the datasheet Io (no per-design\n\
          leakage calibration) the LL/HS crossover lands almost exactly at\n\
-         31.25 MHz; the calibrated reproduction (`cargo run -p\n\
-         optpower-report --bin table3`/`table4`) recovers the paper's exact\n\
-         LL win."
+         31.25 MHz; the calibrated reproduction (`optpower table3` /\n\
+         `optpower table4`) recovers the paper's exact LL win."
     );
     Ok(())
 }
